@@ -23,27 +23,32 @@ let make ~alphabet ~states ~initial ~accepting ~delta =
   let csr = Csr.of_lists ~states ~symbols:(Alphabet.size alphabet) delta in
   { alphabet; states; initial; accepting; delta; csr; rcsr = Atomic.make None }
 
-let create ~alphabet ~states ~initial ~accepting ~transitions () =
-  if states < 0 then invalid_arg "Buchi.create: negative state count";
-  let k = Alphabet.size alphabet in
-  let check q =
-    if q < 0 || q >= states then invalid_arg "Buchi: state out of range"
-  in
+let check_state states q =
+  if q < 0 || q >= states then invalid_arg "Buchi: state out of range"
+
+(* [rows ~k ~states transitions] is the [delta] of the triples: prepending
+   in list order leaves every row in reverse input order. *)
+let rows ~k ~states transitions =
   let delta = Array.init states (fun _ -> Array.make k []) in
-  let acc = Bitset.create states in
-  List.iter check initial;
-  List.iter
-    (fun q ->
-      check q;
-      Bitset.add acc q)
-    accepting;
   List.iter
     (fun (q, a, q') ->
-      check q;
-      check q';
+      check_state states q;
+      check_state states q';
       if a < 0 || a >= k then invalid_arg "Buchi.create: symbol out of range";
       delta.(q).(a) <- q' :: delta.(q).(a))
     transitions;
+  delta
+
+let create ~alphabet ~states ~initial ~accepting ~transitions () =
+  if states < 0 then invalid_arg "Buchi.create: negative state count";
+  let acc = Bitset.create states in
+  List.iter (check_state states) initial;
+  List.iter
+    (fun q ->
+      check_state states q;
+      Bitset.add acc q)
+    accepting;
+  let delta = rows ~k:(Alphabet.size alphabet) ~states transitions in
   make ~alphabet ~states ~initial ~accepting:acc ~delta
 
 let alphabet t = t.alphabet
@@ -117,127 +122,144 @@ let of_lasso alphabet x =
 
 (* --- graph analyses --- *)
 
-(* Kept as a compatibility shim: [tarjan] iterates these lists, and its
-   SCC numbering (observable through [bottom_sccs] grouping order in the
-   fairness layer) depends on this exact successor order. The
-   order-insensitive analyses below step the CSR table instead. *)
-let all_successors t q =
-  Array.fold_left (fun acc l -> List.rev_append l acc) [] t.delta.(q)
+let graph t =
+  Scc.flat ~states:t.states ~stride:(Alphabet.size t.alphabet)
+    ~offsets:(Csr.offsets t.csr) ~targets:(Csr.targets t.csr)
+
+(* Successors of [q] from its last CSR slot to its first. [sccs] visits
+   rows in this order because its numbering is observable (the fairness
+   layer's [bottom_sccs] groups by it) and must not change. *)
+let iter_row_rev t q f =
+  let k = Alphabet.size t.alphabet in
+  let offsets = Csr.offsets t.csr and targets = Csr.targets t.csr in
+  for i = offsets.((q + 1) * k) - 1 downto offsets.(q * k) do
+    f targets.(i)
+  done
 
 let reachable t =
   let seen = Bitset.create t.states in
-  let stack = ref [] in
-  List.iter
-    (fun q ->
-      if not (Bitset.mem seen q) then begin
-        Bitset.add seen q;
-        stack := q :: !stack
-      end)
-    t.initial;
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | q :: rest ->
-        stack := rest;
-        Csr.iter_row_all t.csr q (fun q' ->
-            if not (Bitset.mem seen q') then begin
-              Bitset.add seen q';
-              stack := q' :: !stack
-            end)
+  let stack = Array.make t.states 0 in
+  let sp = ref 0 in
+  let push q =
+    if not (Bitset.mem seen q) then begin
+      Bitset.add seen q;
+      stack.(!sp) <- q;
+      incr sp
+    end
+  in
+  List.iter push t.initial;
+  while !sp > 0 do
+    decr sp;
+    Csr.iter_row_all t.csr stack.(!sp) push
   done;
   seen
 
-(* SCC decomposition, delegated to the shared prelude Tarjan. Feeding it
-   [all_successors] in list order reproduces the numbering of the
-   original embedded implementation bit-for-bit. *)
-let tarjan t =
-  let s = Scc.of_succ ~states:t.states (fun q f -> List.iter f (all_successors t q)) in
+let sccs t =
+  let s = Scc.of_succ ~states:t.states (iter_row_rev t) in
   (s.Scc.comp, s.Scc.count)
 
-let sccs = tarjan
-
-(* An SCC is "good" when a run can loop inside it through an accepting
-   state: it is non-trivial (contains an edge) and contains an accepting
-   state. *)
-let good_sccs t (scc_id, scc_count) =
-  let nontrivial = Array.make scc_count false in
-  let has_acc = Array.make scc_count false in
-  for q = 0 to t.states - 1 do
-    let id = scc_id.(q) in
-    if Bitset.mem t.accepting q then has_acc.(id) <- true;
-    Csr.iter_row_all t.csr q (fun q' ->
-        if scc_id.(q') = id then nontrivial.(id) <- true)
-  done;
-  Array.init scc_count (fun id -> nontrivial.(id) && has_acc.(id))
+(* [live_marks g ~is_acc ~roots] runs one Tarjan over [g] from [roots] and
+   marks the states that are reachable and live. A component completes
+   after every component it reaches, so its liveness is decided at
+   completion: it is live iff it can loop through an accepting state
+   (non-trivial and accepting) or has an edge into a live component. No
+   transpose is needed. *)
+let live_marks (g : Scc.graph) ~is_acc ~roots =
+  let marks = Bytes.make g.states '\000' in
+  let on_component stack lo hi =
+    let loops = ref (hi - lo > 1) in
+    let acc = ref false in
+    let into_live = ref false in
+    for m = lo to hi - 1 do
+      let x = stack.(m) in
+      if is_acc x then acc := true;
+      let row = x / g.lanes * g.stride and l = g.lane x in
+      for i = g.offsets.(row) to g.offsets.(row + g.stride) - 1 do
+        let y = (g.lanes * g.targets.(i)) + l in
+        if y = x then loops := true
+        else if Bytes.unsafe_get marks y <> '\000' then into_live := true
+      done
+    done;
+    if (!loops && !acc) || !into_live then
+      for m = lo to hi - 1 do
+        Bytes.unsafe_set marks stack.(m) '\001'
+      done
+  in
+  ignore (Scc.search ?roots ~on_component g);
+  marks
 
 let live t =
-  if t.states = 0 then Bitset.create 0
-  else begin
-    let ((scc_id, _) as sccs) = tarjan t in
-    let good = good_sccs t sccs in
-    let live = Bitset.create t.states in
-    (* backward closure over the cached transpose: predecessors of [q]
-       are one contiguous row scan, no per-state list building *)
-    let rdelta = rcsr t in
-    let stack = ref [] in
-    for q = 0 to t.states - 1 do
-      if good.(scc_id.(q)) && not (Bitset.mem live q) then begin
-        Bitset.add live q;
-        stack := q :: !stack
-      end
-    done;
-    while !stack <> [] do
-      match !stack with
-      | [] -> ()
-      | q :: rest ->
-          stack := rest;
-          Csr.iter_row_all rdelta q (fun p ->
-              if not (Bitset.mem live p) then begin
-                Bitset.add live p;
-                stack := p :: !stack
-              end)
-    done;
-    live
-  end
+  let marks =
+    live_marks (graph t) ~is_acc:(Bitset.mem t.accepting) ~roots:None
+  in
+  let live = Bitset.create t.states in
+  Bytes.iteri (fun q m -> if m <> '\000' then Bitset.add live q) marks;
+  live
 
-let restrict t keep =
-  let remap = Array.make (max t.states 1) (-1) in
-  let count = ref 0 in
-  Bitset.iter
-    (fun q ->
-      remap.(q) <- !count;
-      incr count)
-    keep;
-  let n = !count in
-  let k = Alphabet.size t.alphabet in
-  let delta = Array.init n (fun _ -> Array.make k []) in
+(* [compact ~alphabet g marks ~is_acc initial] is the automaton over the
+   marked states of [g], numbered in increasing order. Every row keeps its
+   slot order with unmarked targets dropped; [initial] keeps its order
+   (duplicates included) with unmarked states dropped. The flat table is
+   built once and adopted; the list view is read off it. *)
+let compact ~alphabet (g : Scc.graph) marks ~is_acc initial =
+  let k = g.stride in
+  let remap = Array.make g.states (-1) in
+  let n = ref 0 in
+  Bytes.iteri
+    (fun x m ->
+      if m <> '\000' then begin
+        remap.(x) <- !n;
+        incr n
+      end)
+    marks;
+  let n = !n in
+  let offsets = Array.make ((n * k) + 1) 0 in
+  let targets = Vec.create ~capacity:64 () in
   let accepting = Bitset.create n in
-  Bitset.iter
-    (fun q ->
-      let q2 = remap.(q) in
-      if Bitset.mem t.accepting q then Bitset.add accepting q2;
+  for x = 0 to g.states - 1 do
+    let q = remap.(x) in
+    if q >= 0 then begin
+      if is_acc x then Bitset.add accepting q;
+      let row = x / g.lanes * k and l = g.lane x in
       for a = 0 to k - 1 do
-        delta.(q2).(a) <-
-          List.filter_map
-            (fun q' -> if Bitset.mem keep q' then Some remap.(q') else None)
-            t.delta.(q).(a)
-      done)
-    keep;
+        for i = g.offsets.(row + a) to g.offsets.(row + a + 1) - 1 do
+          let q' = remap.((g.lanes * g.targets.(i)) + l) in
+          if q' >= 0 then Vec.push targets q'
+        done;
+        offsets.((q * k) + a + 1) <- Vec.length targets
+      done
+    end
+  done;
+  let targets = Vec.to_array targets in
+  let csr = Csr.of_arrays ~states:n ~symbols:k ~offsets ~targets in
+  let delta =
+    Array.init n (fun q ->
+        Array.init k (fun a ->
+            let l = ref [] in
+            for i = offsets.((q * k) + a + 1) - 1 downto offsets.((q * k) + a) do
+              l := targets.(i) :: !l
+            done;
+            !l))
+  in
   let initial =
     List.filter_map
-      (fun q -> if Bitset.mem keep q then Some remap.(q) else None)
-      t.initial
+      (fun x -> if remap.(x) >= 0 then Some remap.(x) else None)
+      initial
   in
-  make ~alphabet:t.alphabet ~states:n ~initial ~accepting ~delta
+  { alphabet; states = n; initial; accepting; delta; csr; rcsr = Atomic.make None }
 
 let trim t =
-  let keep = reachable t in
-  Bitset.inter_into ~into:keep (live t);
-  restrict t keep
+  let g = graph t in
+  let is_acc = Bitset.mem t.accepting in
+  let marks = live_marks g ~is_acc ~roots:(Some t.initial) in
+  compact ~alphabet:t.alphabet g marks ~is_acc t.initial
 
 let is_empty t =
-  let l = live t in
-  not (List.exists (Bitset.mem l) t.initial)
+  let marks =
+    live_marks (graph t) ~is_acc:(Bitset.mem t.accepting)
+      ~roots:(Some t.initial)
+  in
+  not (List.exists (fun q -> Bytes.get marks q <> '\000') t.initial)
 
 (* Nested DFS (Courcoubetis–Vardi–Wolper–Yannakakis), used as an
    independent oracle for [is_empty] in tests. *)
@@ -250,19 +272,17 @@ let is_empty_ndfs t =
     let on_path = Array.make n false in
     let exception Found in
     let rec red_dfs q =
-      List.iter
-        (fun q' ->
+      iter_row_rev t q (fun q' ->
           if on_path.(q') then raise Found;
           if not red.(q') then begin
             red.(q') <- true;
             red_dfs q'
           end)
-        (all_successors t q)
     in
     let rec blue_dfs q =
       blue.(q) <- true;
       on_path.(q) <- true;
-      List.iter (fun q' -> if not blue.(q') then blue_dfs q') (all_successors t q);
+      iter_row_rev t q (fun q' -> if not blue.(q') then blue_dfs q');
       if Bitset.mem t.accepting q then begin
         (* post-order check from accepting state *)
         red_dfs q
@@ -281,95 +301,105 @@ let accepting_lasso ?(budget = Rl_engine_kernel.Budget.unlimited) t =
     (* the automaton is already built: the witness search is linear, so a
        single bulk charge accounts for it *)
     Rl_engine_kernel.Budget.charge budget t.states;
+    let n = t.states and k = Alphabet.size t.alphabet in
     let reach = reachable t in
-    let ((scc_id, _) as sccs) = tarjan t in
-    let good = good_sccs t sccs in
-    (* Find a reachable accepting state inside a good SCC. *)
-    let target = ref None in
-    for q = 0 to t.states - 1 do
-      if
-        !target = None && Bitset.mem reach q
-        && Bitset.mem t.accepting q
-        && good.(scc_id.(q))
-      then target := Some q
-    done;
-    match !target with
-    | None -> None
-    | Some f ->
-        (* BFS path initial → f with labels. *)
-        let bfs start stop restrict_scc =
-          let parent = Array.make t.states None in
-          let seen = Bitset.create t.states in
-          let queue = Queue.create () in
-          List.iter
-            (fun (q, lab) ->
-              if not (Bitset.mem seen q) then begin
-                Bitset.add seen q;
-                parent.(q) <- lab;
-                Queue.add q queue
-              end)
-            start;
-          let found = ref None in
-          while !found = None && not (Queue.is_empty queue) do
-            let q = Queue.pop queue in
-            if q = stop then found := Some q
-            else
-              Array.iteri
-                (fun a succs ->
-                  List.iter
-                    (fun q' ->
-                      let ok =
-                        match restrict_scc with
-                        | None -> true
-                        | Some id -> scc_id.(q') = id
-                      in
-                      if ok && not (Bitset.mem seen q') then begin
-                        Bitset.add seen q';
-                        parent.(q') <- Some (q, a);
-                        Queue.add q' queue
-                      end)
-                    succs)
-                t.delta.(q)
+    (* only the SCC partition is used, never its numbering *)
+    let scc = Scc.of_csr t.csr in
+    let comp = scc.Scc.comp in
+    (* the least reachable accepting state inside a good SCC — one that is
+       non-trivial and, holding it, accepting *)
+    let target = ref (-1) in
+    Bitset.iter
+      (fun q ->
+        if !target < 0 && Bitset.mem reach q && Scc.nontrivial scc comp.(q)
+        then target := q)
+      t.accepting;
+    if !target < 0 then None
+    else begin
+      let f = !target in
+      let offsets = Csr.offsets t.csr and targets = Csr.targets t.csr in
+      (* BFS scratch shared by every search below: [parent.(q) = -1] for
+         unseen and start states, and each search first resets exactly the
+         states the previous one enqueued *)
+      let seen = Bytes.make n '\000' in
+      let parent = Array.make n (-1) in
+      let label = Array.make n 0 in
+      let queue = Array.make n 0 in
+      let tail = ref 0 in
+      (* BFS from [starts] (in order) to [f], through states of component
+         [within] only when [within >= 0]; the labels of the first path
+         found *)
+      let bfs starts within =
+        for j = 0 to !tail - 1 do
+          Bytes.unsafe_set seen queue.(j) '\000';
+          parent.(queue.(j)) <- -1
+        done;
+        tail := 0;
+        let enqueue q =
+          Bytes.unsafe_set seen q '\001';
+          queue.(!tail) <- q;
+          incr tail
+        in
+        List.iter (fun q -> if Bytes.unsafe_get seen q = '\000' then enqueue q) starts;
+        let head = ref 0 in
+        let found = ref false in
+        while (not !found) && !head < !tail do
+          let q = queue.(!head) in
+          incr head;
+          if q = f then found := true
+          else
+            for a = 0 to k - 1 do
+              for i = offsets.((q * k) + a) to offsets.((q * k) + a + 1) - 1 do
+                let q' = targets.(i) in
+                if
+                  (within < 0 || comp.(q') = within)
+                  && Bytes.unsafe_get seen q' = '\000'
+                then begin
+                  enqueue q';
+                  parent.(q') <- q;
+                  label.(q') <- a
+                end
+              done
+            done
+        done;
+        if not !found then None
+        else begin
+          let labels = ref [] and q = ref f in
+          while parent.(!q) >= 0 do
+            labels := label.(!q) :: !labels;
+            q := parent.(!q)
           done;
-          match !found with
-          | None -> None
-          | Some q ->
-              let rec back q acc =
-                match parent.(q) with
-                | None -> acc
-                | Some (p, a) -> back p (a :: acc)
-              in
-              Some (back q [])
-        in
-        let stem =
-          match bfs (List.map (fun q -> (q, None)) t.initial) f None with
-          | Some labels -> Word.of_list labels
-          | None -> assert false
-        in
-        (* Cycle: take one edge f --a--> q' inside f's SCC, then a path
-           q' → f. The BFS starts fresh at q' (parent None) so the back
-           walk terminates there; the first edge is prepended. *)
-        let id = scc_id.(f) in
-        let first_edges = ref [] in
-        Array.iteri
-          (fun a succs ->
-            List.iter
-              (fun q' -> if scc_id.(q') = id then first_edges := (a, q') :: !first_edges)
-              succs)
-          t.delta.(f);
-        let rec try_edges = function
-          | [] -> None
-          | (a, q') :: rest -> (
-              match bfs [ (q', None) ] f (Some id) with
-              | Some labels -> Some (Word.of_list (a :: labels))
-              | None -> try_edges rest)
-        in
-        let cycle =
-          match try_edges !first_edges with
-          | Some c -> c
-          | None -> assert false (* f lies in a good (non-trivial) SCC *)
-        in
-        Some (Lasso.make stem cycle)
+          Some !labels
+        end
+      in
+      let stem =
+        match bfs t.initial (-1) with
+        | Some labels -> Word.of_list labels
+        | None -> assert false
+      in
+      (* Cycle: take one edge f --a--> q' inside f's SCC, then a path
+         q' → f. The BFS starts fresh at q' so the back walk terminates
+         there; the first edge is prepended. Edges are tried from the last
+         slot of f's row to the first. *)
+      let id = comp.(f) in
+      let cycle = ref None in
+      let a = ref (k - 1) in
+      while !cycle = None && !a >= 0 do
+        let i = ref (offsets.((f * k) + !a + 1) - 1) in
+        while !cycle = None && !i >= offsets.((f * k) + !a) do
+          let q' = targets.(!i) in
+          (if comp.(q') = id then
+             match bfs [ q' ] id with
+             | Some labels -> cycle := Some (Word.of_list (!a :: labels))
+             | None -> ());
+          decr i
+        done;
+        decr a
+      done;
+      match !cycle with
+      | Some cycle -> Some (Lasso.make stem cycle)
+      | None -> assert false (* f lies in a good (non-trivial) SCC *)
+    end
   end
 
 (* --- generalized Büchi --- *)
@@ -384,9 +414,9 @@ module Gba = struct
   }
 
   let create ~alphabet ~states ~initial ~accepting_sets ~transitions () =
-    let base =
-      create ~alphabet ~states ~initial ~accepting:[] ~transitions ()
-    in
+    if states < 0 then invalid_arg "Buchi.create: negative state count";
+    List.iter (check_state states) initial;
+    let delta = rows ~k:(Alphabet.size alphabet) ~states transitions in
     let sets =
       Array.of_list
         (List.map
@@ -406,7 +436,7 @@ module Gba = struct
       g_states = states;
       g_initial = initial;
       g_sets = sets;
-      g_delta = base.delta;
+      g_delta = delta;
     }
 
   let degeneralize g =
@@ -441,6 +471,54 @@ module Gba = struct
     end
 end
 
+(* Open-addressing map from product pair keys [p * nb + q] to pair ids:
+   linear probing, 64 slots to start, doubling at half load. Small
+   products stay on the minor heap. *)
+module Pairs = struct
+  type t = { mutable keys : int array; mutable ids : int array; mutable size : int }
+
+  let create () = { keys = Array.make 64 (-1); ids = Array.make 64 0; size = 0 }
+
+  let rec slot keys key i =
+    let k = keys.(i) in
+    if k = key || k < 0 then i else slot keys key ((i + 1) land (Array.length keys - 1))
+
+  let start keys key =
+    ((key * 0x2545F4914F6CDD1D) lsr 32) land (Array.length keys - 1)
+
+  (* the id of [key], or -1 *)
+  let find t key =
+    let i = slot t.keys key (start t.keys key) in
+    if t.keys.(i) < 0 then -1 else t.ids.(i)
+
+  let add t key id =
+    if 2 * (t.size + 1) > Array.length t.keys then begin
+      let keys = t.keys and ids = t.ids in
+      t.keys <- Array.make (2 * Array.length keys) (-1);
+      t.ids <- Array.make (2 * Array.length keys) 0;
+      Array.iteri
+        (fun j k ->
+          if k >= 0 then begin
+            let i = slot t.keys k (start t.keys k) in
+            t.keys.(i) <- k;
+            t.ids.(i) <- ids.(j)
+          end)
+        keys
+    end;
+    let i = slot t.keys key (start t.keys key) in
+    t.keys.(i) <- key;
+    t.ids.(i) <- id;
+    t.size <- t.size + 1
+end
+
+(* The fused product. Pairs get ids in BFS discovery order and their edges
+   go straight into a flat table ([poff] per pair and symbol, [ptgt]), in
+   BFS order. The degeneralized state [x = 2·id + c] (counter [c] of
+   {!Gba.degeneralize} over the sets "accepting in [a]", "accepting in
+   [b]") is never built: it is a lane of that table. One Tarjan from the
+   initial states marks the reachable live states, and [compact] numbers
+   them in increasing [x]. The result is [trim (Gba.degeneralize g)] for
+   the generalized product [g], state for state and slot for slot. *)
 let inter ?(budget = Rl_engine_kernel.Budget.unlimited) a b =
   if not (Alphabet.equal a.alphabet b.alphabet) then
     invalid_arg "Buchi.inter: alphabet mismatch";
@@ -450,64 +528,67 @@ let inter ?(budget = Rl_engine_kernel.Budget.unlimited) a b =
   else begin
     (* explore only the reachable pairs: the full product is quadratic and
        dominates memory when one operand is large (e.g. a complement) *)
-    let k = Alphabet.size a.alphabet in
-    let table = Hashtbl.create 64 in
-    let rev = ref [] in
-    let count = ref 0 in
-    let intern pair =
-      match Hashtbl.find_opt table pair with
-      | Some id -> (id, false)
-      | None ->
-          Rl_engine_kernel.Budget.tick budget;
-          let id = !count in
-          incr count;
-          Hashtbl.add table pair id;
-          rev := pair :: !rev;
-          (id, true)
+    let k = Alphabet.size a.alphabet and nb = b.states in
+    let pairs = Pairs.create () in
+    let pa = Vec.create ~capacity:64 () and pb = Vec.create ~capacity:64 () in
+    let intern p q =
+      let key = (p * nb) + q in
+      let id = Pairs.find pairs key in
+      if id >= 0 then id
+      else begin
+        Rl_engine_kernel.Budget.tick budget;
+        let id = Vec.length pa in
+        Vec.push pa p;
+        Vec.push pb q;
+        Pairs.add pairs key id;
+        id
+      end
     in
-    let queue = Queue.create () in
     let initial =
       List.concat_map
-        (fun p ->
-          List.map
-            (fun q ->
-              let pair = (p, q) in
-              let id, fresh = intern pair in
-              if fresh then Queue.add pair queue;
-              id)
-            b.initial)
+        (fun p -> List.map (fun q -> 2 * intern p q) b.initial)
         a.initial
     in
-    let transitions = ref [] in
-    while not (Queue.is_empty queue) do
-      let ((p, q) as pair) = Queue.pop queue in
-      let src = Hashtbl.find table pair in
+    let aoff = Csr.offsets a.csr and atgt = Csr.targets a.csr in
+    let boff = Csr.offsets b.csr and btgt = Csr.targets b.csr in
+    let poff = Vec.create ~capacity:64 () and ptgt = Vec.create ~capacity:64 () in
+    Vec.push poff 0;
+    (* the queue is the id range itself: ids are handed out in FIFO order *)
+    let id = ref 0 in
+    while !id < Vec.length pa do
+      let p = Vec.get pa !id and q = Vec.get pb !id in
       for s = 0 to k - 1 do
-        List.iter
-          (fun p' ->
-            List.iter
-              (fun q' ->
-                let pair' = (p', q') in
-                let dst, fresh = intern pair' in
-                if fresh then Queue.add pair' queue;
-                transitions := (src, s, dst) :: !transitions)
-              b.delta.(q).(s))
-          a.delta.(p).(s)
-      done
+        for i = aoff.((p * k) + s) to aoff.((p * k) + s + 1) - 1 do
+          let p' = atgt.(i) in
+          for j = boff.((q * k) + s) to boff.((q * k) + s + 1) - 1 do
+            Vec.push ptgt (intern p' btgt.(j))
+          done
+        done;
+        Vec.push poff (Vec.length ptgt)
+      done;
+      incr id
     done;
-    let n = !count in
-    let pairs = Array.of_list (List.rev !rev) in
-    let set1 = ref [] and set2 = ref [] in
-    Array.iteri
-      (fun id (p, q) ->
-        if Bitset.mem a.accepting p then set1 := id :: !set1;
-        if Bitset.mem b.accepting q then set2 := id :: !set2)
-      pairs;
-    let g =
-      Gba.create ~alphabet:a.alphabet ~states:n ~initial
-        ~accepting_sets:[ !set1; !set2 ] ~transitions:!transitions ()
+    let acc_a x = Bitset.mem a.accepting (Vec.get pa (x lsr 1)) in
+    let acc_b x = Bitset.mem b.accepting (Vec.get pb (x lsr 1)) in
+    (* counter 0 waits for [a]'s set, counter 1 for [b]'s *)
+    let lane x =
+      if x land 1 = 0 then (if acc_a x then 1 else 0)
+      else if acc_b x then 0
+      else 1
     in
-    trim (Gba.degeneralize g)
+    let is_acc x = x land 1 = 0 && acc_a x in
+    let g =
+      {
+        Scc.states = 2 * Vec.length pa;
+        stride = k;
+        offsets = Vec.to_array poff;
+        targets = Vec.to_array ptgt;
+        lanes = 2;
+        lane;
+      }
+    in
+    let marks = live_marks g ~is_acc ~roots:(Some initial) in
+    compact ~alphabet:a.alphabet g marks ~is_acc initial
   end
 
 let union a b =

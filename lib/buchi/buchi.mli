@@ -76,23 +76,30 @@ val has_edge : t -> int -> Alphabet.symbol -> int -> bool
 val reachable : t -> Rl_prelude.Bitset.t
 
 (** [live b] is the set of states from which some accepting run exists
-    (states that reach a non-trivial SCC containing an accepting state). *)
+    (states that reach a non-trivial SCC containing an accepting state).
+    One {!Rl_prelude.Scc.search} pass decides it at component completion;
+    no transposed table is built. *)
 val live : t -> Rl_prelude.Bitset.t
 
 (** [sccs b] is Tarjan's strongly-connected-component decomposition:
     [(component_of_state, component_count)]. Components are numbered in
     reverse topological order (every edge goes from a higher-numbered
-    component to a lower or equal one). *)
+    component to a lower or equal one). The numbering is stable: roots in
+    increasing order, each row scanned from its last CSR slot to its
+    first (the fairness layer's [bottom_sccs] grouping observes it). *)
 val sccs : t -> int array * int
 
 (** [trim b] is the "reduced" automaton of the paper's Theorem 5.1 proof:
     restricted to reachable states from which an ω-word can be accepted.
-    Preserves the language; may have zero states if the language is empty. *)
+    Preserves the language; may have zero states if the language is empty.
+    Kept states are renumbered in increasing order; rows keep their order
+    with dropped targets skipped, and [initial] keeps its order. *)
 val trim : t -> t
 
 (** {1 Decision procedures} *)
 
-(** [is_empty b] decides [L(b) = ∅] via SCC analysis (Tarjan). *)
+(** [is_empty b] decides [L(b) = ∅] via SCC analysis (one Tarjan pass
+    from the initial states). *)
 val is_empty : t -> bool
 
 (** [is_empty_ndfs b] — the same decision by nested depth-first search;
@@ -101,7 +108,16 @@ val is_empty_ndfs : t -> bool
 
 (** [accepting_lasso ?budget b] is a witness [u·v^ω ∈ L(b)], if the
     language is non-empty. The cycle passes through an accepting state.
-    [budget] is charged for the (linear) witness search. *)
+    [budget] is charged for the (linear) witness search.
+
+    The witness is a function of [b]'s numbering and row order only, never
+    of SCC numbering: the target [f] is the least reachable accepting
+    state on a cycle; [u] labels the first path from the initial states
+    (taken in order) to [f] found by a BFS that scans rows in symbol order
+    and slot order; [v] is [a] followed by the labels of the same BFS from
+    [q'] to [f] within [f]'s SCC, for the first edge [f --a--> q'] into
+    that SCC whose search succeeds, trying [f]'s edges from its last CSR
+    slot to its first. *)
 val accepting_lasso : ?budget:Rl_engine_kernel.Budget.t -> t -> Lasso.t option
 
 (** [member b x] decides [x ∈ L(b)] for an ultimately periodic [x]. *)
@@ -110,8 +126,23 @@ val member : t -> Lasso.t -> bool
 (** {1 Boolean operations} *)
 
 (** [inter ?budget a b] accepts [L(a) ∩ L(b)] (generalized-Büchi product,
-    degeneralized). Only reachable product pairs are explored; [budget] is
-    ticked once per pair. *)
+    degeneralized, trimmed). Only reachable product pairs are explored;
+    [budget] is ticked once per fresh pair, in discovery order.
+
+    The result is numbered by a fixed contract:
+    - pair ids are handed out in BFS order: first the initial pairs, [a]'s
+      initial states outer and [b]'s inner, then the successors of each
+      pair in id order, symbol by symbol, [a]'s slot outer and [b]'s slot
+      inner;
+    - the degeneralized state of pair [id] with counter [c] is
+      [x = 2·id + c], as in {!Gba.degeneralize} over the two sets
+      "accepting in [a]" and "accepting in [b]"; [x] accepts iff [c = 0]
+      and the pair's [a] state accepts;
+    - the reachable states from which an accepting run exists are kept
+      and renumbered in increasing [x]; every row keeps that slot order
+      (duplicate edges included) with dropped targets skipped, and
+      [initial] lists [2·id] of each initial pair in the order above,
+      repeats included, when kept. *)
 val inter : ?budget:Rl_engine_kernel.Budget.t -> t -> t -> t
 
 (** [union a b] accepts [L(a) ∪ L(b)] (disjoint sum). *)

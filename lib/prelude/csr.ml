@@ -48,6 +48,15 @@ let of_lists ~states ~symbols rows =
   done;
   { states; symbols; offsets; targets }
 
+let of_arrays ~states ~symbols ~offsets ~targets =
+  let cells = (states * symbols) + 1 in
+  if
+    Array.length offsets <> cells
+    || offsets.(0) <> 0
+    || offsets.(cells - 1) <> Array.length targets
+  then invalid_arg "Csr.of_arrays: offsets do not frame targets";
+  { states; symbols; offsets; targets }
+
 let of_fn ~states ~symbols succ =
   let cells = (states * symbols) + 1 in
   let offsets = Array.make cells 0 in

@@ -21,6 +21,14 @@ val of_fn : states:int -> symbols:int -> (int -> int -> int list) -> t
     construction time. Slice order follows the list order. *)
 val of_lists : states:int -> symbols:int -> int list array array -> t
 
+(** [of_arrays ~states ~symbols ~offsets ~targets] adopts already-flat
+    storage (no copy): [offsets] has length [states * symbols + 1], is
+    nondecreasing from [0] and ends at [Array.length targets]. The caller
+    hands the arrays over and must not mutate them afterwards.
+    @raise Invalid_argument if the lengths or end points do not match. *)
+val of_arrays :
+  states:int -> symbols:int -> offsets:int array -> targets:int array -> t
+
 val states : t -> int
 val symbols : t -> int
 

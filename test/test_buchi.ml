@@ -189,6 +189,299 @@ let gen_lasso =
     pair (list_size (0 -- 3) (0 -- 1)) (list_size (1 -- 3) (0 -- 1))
     >|= fun (s, c) -> Lasso.make (Word.of_list s) (Word.of_list c))
 
+(* --- oracles: the list and Hashtbl constructions that the fused product
+   and the array-based witness search replaced, kept verbatim in shape and
+   built only from the public API --- *)
+
+let all_states b = List.init (Buchi.states b) Fun.id
+let alphabet_symbols b = List.init (Alphabet.size (Buchi.alphabet b)) Fun.id
+
+(* [steps b].(p).(q): q is reachable from p in one or more steps *)
+let steps b =
+  let n = Buchi.states b in
+  Array.init n (fun p ->
+      let seen = Array.make n false in
+      let rec go q =
+        List.iter
+          (fun a ->
+            List.iter
+              (fun q' ->
+                if not seen.(q') then begin
+                  seen.(q') <- true;
+                  go q'
+                end)
+              (Buchi.successors b q a))
+          (alphabet_symbols b)
+      in
+      go p;
+      seen)
+
+let oracle_reachable b =
+  let r = steps b in
+  List.filter
+    (fun q -> List.exists (fun i -> i = q || r.(i).(q)) (Buchi.initial b))
+    (all_states b)
+
+(* live: some accepting state on a cycle is reachable in zero or more steps *)
+let oracle_live b =
+  let r = steps b in
+  List.filter
+    (fun q ->
+      List.exists
+        (fun f -> Buchi.is_accepting b f && r.(f).(f) && (f = q || r.(q).(f)))
+        (all_states b))
+    (all_states b)
+
+let oracle_restrict b keep =
+  let remap = Array.make (Buchi.states b) (-1) in
+  let n = ref 0 in
+  List.iter
+    (fun q ->
+      if List.mem q keep then begin
+        remap.(q) <- !n;
+        incr n
+      end)
+    (all_states b);
+  let kept q = remap.(q) >= 0 in
+  (* [create] prepends, so feeding the triples in reverse keeps list order *)
+  let transitions =
+    List.concat_map
+      (fun q ->
+        List.concat_map
+          (fun a ->
+            List.filter_map
+              (fun q' -> if kept q' then Some (remap.(q), a, remap.(q')) else None)
+              (Buchi.successors b q a))
+          (alphabet_symbols b))
+      (List.filter kept (all_states b))
+  in
+  Buchi.create ~alphabet:(Buchi.alphabet b) ~states:!n
+    ~initial:(List.filter_map (fun q -> if kept q then Some remap.(q) else None) (Buchi.initial b))
+    ~accepting:
+      (List.filter_map
+         (fun q -> if kept q && Buchi.is_accepting b q then Some remap.(q) else None)
+         (all_states b))
+    ~transitions:(List.rev transitions) ()
+
+let oracle_trim b =
+  let live = oracle_live b in
+  oracle_restrict b (List.filter (fun q -> List.mem q live) (oracle_reachable b))
+
+let oracle_inter ?(budget = Rl_engine_kernel.Budget.unlimited) a b =
+  let alphabet = Buchi.alphabet a in
+  if Buchi.states a = 0 || Buchi.states b = 0 then
+    Buchi.create ~alphabet ~states:0 ~initial:[] ~accepting:[] ~transitions:[] ()
+  else begin
+    let k = Alphabet.size alphabet in
+    let table = Hashtbl.create 64 in
+    let rev = ref [] in
+    let count = ref 0 in
+    let intern pair =
+      match Hashtbl.find_opt table pair with
+      | Some id -> (id, false)
+      | None ->
+          Rl_engine_kernel.Budget.tick budget;
+          let id = !count in
+          incr count;
+          Hashtbl.add table pair id;
+          rev := pair :: !rev;
+          (id, true)
+    in
+    let queue = Queue.create () in
+    let initial =
+      List.concat_map
+        (fun p ->
+          List.map
+            (fun q ->
+              let pair = (p, q) in
+              let id, fresh = intern pair in
+              if fresh then Queue.add pair queue;
+              id)
+            (Buchi.initial b))
+        (Buchi.initial a)
+    in
+    let transitions = ref [] in
+    while not (Queue.is_empty queue) do
+      let ((p, q) as pair) = Queue.pop queue in
+      let src = Hashtbl.find table pair in
+      for s = 0 to k - 1 do
+        List.iter
+          (fun p' ->
+            List.iter
+              (fun q' ->
+                let pair' = (p', q') in
+                let dst, fresh = intern pair' in
+                if fresh then Queue.add pair' queue;
+                transitions := (src, s, dst) :: !transitions)
+              (Buchi.successors b q s))
+          (Buchi.successors a p s)
+      done
+    done;
+    let pairs = Array.of_list (List.rev !rev) in
+    let set1 = ref [] and set2 = ref [] in
+    Array.iteri
+      (fun id (p, q) ->
+        if Buchi.is_accepting a p then set1 := id :: !set1;
+        if Buchi.is_accepting b q then set2 := id :: !set2)
+      pairs;
+    let g =
+      Buchi.Gba.create ~alphabet ~states:!count ~initial
+        ~accepting_sets:[ !set1; !set2 ] ~transitions:!transitions ()
+    in
+    oracle_trim (Buchi.Gba.degeneralize g)
+  end
+
+(* the witness search as a list BFS with [Queue] and optional parents;
+   SCC membership by mutual reachability *)
+let oracle_lasso b =
+  let n = Buchi.states b in
+  let r = steps b in
+  let same_scc p q = p = q || (r.(p).(q) && r.(q).(p)) in
+  let reach = oracle_reachable b in
+  match
+    List.find_opt
+      (fun q -> List.mem q reach && Buchi.is_accepting b q && r.(q).(q))
+      (all_states b)
+  with
+  | None -> None
+  | Some f ->
+      let bfs start within =
+        let parent = Array.make n None in
+        let seen = Array.make n false in
+        let queue = Queue.create () in
+        List.iter
+          (fun (q, lab) ->
+            if not seen.(q) then begin
+              seen.(q) <- true;
+              parent.(q) <- lab;
+              Queue.add q queue
+            end)
+          start;
+        let found = ref None in
+        while !found = None && not (Queue.is_empty queue) do
+          let q = Queue.pop queue in
+          if q = f then found := Some q
+          else
+            List.iter
+              (fun a ->
+                List.iter
+                  (fun q' ->
+                    if within q' && not seen.(q') then begin
+                      seen.(q') <- true;
+                      parent.(q') <- Some (q, a);
+                      Queue.add q' queue
+                    end)
+                  (Buchi.successors b q a))
+              (alphabet_symbols b)
+        done;
+        Option.map
+          (fun q ->
+            let rec back q acc =
+              match parent.(q) with None -> acc | Some (p, a) -> back p (a :: acc)
+            in
+            back q [])
+          !found
+      in
+      let stem =
+        Option.get (bfs (List.map (fun q -> (q, None)) (Buchi.initial b)) (fun _ -> true))
+      in
+      let first_edges = ref [] in
+      List.iter
+        (fun a ->
+          List.iter
+            (fun q' -> if same_scc q' f then first_edges := (a, q') :: !first_edges)
+            (Buchi.successors b f a))
+        (alphabet_symbols b);
+      let cycle =
+        List.find_map
+          (fun (a, q') ->
+            Option.map (fun l -> a :: l) (bfs [ (q', None) ] (same_scc f)))
+          !first_edges
+      in
+      Some (stem, Option.get cycle)
+
+let same_automaton x y =
+  let open Rl_prelude in
+  Buchi.states x = Buchi.states y
+  && Buchi.initial x = Buchi.initial y
+  && Bitset.elements (Buchi.accepting x) = Bitset.elements (Buchi.accepting y)
+  && List.for_all
+       (fun q ->
+         List.for_all
+           (fun a -> Buchi.successors x q a = Buchi.successors y q a)
+           (alphabet_symbols x))
+       (all_states x)
+  && Csr.offsets (Buchi.csr x) = Csr.offsets (Buchi.csr y)
+  && Csr.targets (Buchi.csr x) = Csr.targets (Buchi.csr y)
+
+(* arbitrary operands: zero states, empty or repeated initial states and
+   repeated transitions all occur *)
+let gen_raw_buchi =
+  QCheck2.Gen.(
+    let* states = 0 -- 5 in
+    if states = 0 then
+      return (Buchi.create ~alphabet:ab ~states:0 ~initial:[] ~accepting:[] ~transitions:[] ())
+    else
+      let st = 0 -- (states - 1) in
+      let* initial = list_size (0 -- 3) st in
+      let* accepting = list_size (0 -- states) st in
+      let* transitions = list_size (0 -- 16) (triple st (0 -- 1) st) in
+      let* repeated = 0 -- List.length transitions in
+      let transitions = transitions @ List.filteri (fun i _ -> i < repeated) transitions in
+      return (Buchi.create ~alphabet:ab ~states ~initial ~accepting ~transitions ()))
+
+let print_buchi = Format.asprintf "%a" Buchi.pp
+
+let prop_inter_matches_oracle =
+  QCheck2.Test.make ~name:"inter is structurally the list/Hashtbl product"
+    ~count:1000
+    ~print:(fun (x, y) -> print_buchi x ^ "\n" ^ print_buchi y)
+    QCheck2.Gen.(pair gen_raw_buchi gen_raw_buchi)
+    (fun (x, y) -> same_automaton (Buchi.inter x y) (oracle_inter x y))
+
+let prop_inter_matches_oracle_dense =
+  QCheck2.Test.make ~name:"inter is the list/Hashtbl product (dense operands)"
+    ~count:200
+    QCheck2.Gen.(pair (gen_buchi 7) (gen_buchi 7))
+    (fun (x, y) -> same_automaton (Buchi.inter x y) (oracle_inter x y))
+
+let prop_trim_matches_oracle =
+  QCheck2.Test.make ~name:"trim is structurally the reachable-and-live restriction"
+    ~count:500 ~print:print_buchi gen_raw_buchi (fun b ->
+      same_automaton (Buchi.trim b) (oracle_trim b))
+
+let prop_lasso_matches_oracle =
+  QCheck2.Test.make ~name:"accepting_lasso is the list-BFS witness" ~count:1000
+    ~print:print_buchi
+    QCheck2.Gen.(oneof [ gen_raw_buchi; gen_buchi 7 ])
+    (fun b ->
+      let show =
+        Option.map (fun x -> (Word.to_list (Lasso.stem x), Word.to_list (Lasso.cycle x)))
+      in
+      let want =
+        Option.map
+          (fun (stem, cycle) -> Lasso.make (Word.of_list stem) (Word.of_list cycle))
+          (oracle_lasso b)
+      in
+      show (Buchi.accepting_lasso b) = show want)
+
+let test_inter_budget () =
+  (* both constructions tick once per fresh pair, in the same order, so a
+     tiny budget runs out at the same tick *)
+  let x = random_buchi (mk_rng 7) ~states:6 and y = random_buchi (mk_rng 8) ~states:6 in
+  let pairs_seen inter max_states =
+    let budget = Rl_engine_kernel.Budget.create ~max_states () in
+    match inter budget with
+    | _ -> None
+    | exception Rl_engine_kernel.Budget.Exhausted e -> Some e.states_explored
+  in
+  for max_states = 0 to 12 do
+    let got = pairs_seen (fun budget -> Buchi.inter ~budget x y) max_states in
+    let want = pairs_seen (fun budget -> oracle_inter ~budget x y) max_states in
+    Alcotest.(check (option int)) (Printf.sprintf "max_states %d" max_states) want got;
+    Alcotest.(check bool) "exhausted" true (got <> None)
+  done
+
 let prop_emptiness_algorithms_agree =
   QCheck2.Test.make ~name:"scc and ndfs emptiness agree" ~count:500 (gen_buchi 7)
     (fun b -> Buchi.is_empty b = Buchi.is_empty_ndfs b)
@@ -368,6 +661,10 @@ let qsuite =
       prop_simulation_quotient_shrinks;
       prop_emptiness_algorithms_agree;
       prop_witness_sound;
+      prop_inter_matches_oracle;
+      prop_inter_matches_oracle_dense;
+      prop_trim_matches_oracle;
+      prop_lasso_matches_oracle;
       prop_trim_preserves;
       prop_inter_semantics;
       prop_union_semantics;
@@ -398,6 +695,7 @@ let () =
       ( "boolean",
         [
           Alcotest.test_case "inter" `Quick test_inter_unit;
+          Alcotest.test_case "inter budget" `Quick test_inter_budget;
           Alcotest.test_case "union" `Quick test_union_unit;
           Alcotest.test_case "complement" `Quick test_complement_unit;
           Alcotest.test_case "included" `Quick test_included;

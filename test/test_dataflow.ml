@@ -88,7 +88,27 @@ let prop_scc_invariants =
                   if t.Scc.comp.(q') <> c then closed := false))
             (Scc.members t c);
           t.Scc.self_loop.(c) = !self && t.Scc.closed.(c) = !closed)
-        ids)
+        ids
+      && (* components are exactly the mutual-reachability classes *)
+      let reach =
+        Array.init states (fun p ->
+            let seen = Array.make states false in
+            let rec go q =
+              if not seen.(q) then begin
+                seen.(q) <- true;
+                Rl_prelude.Csr.iter_row_all csr q go
+              end
+            in
+            go p;
+            seen)
+      in
+      List.for_all
+        (fun p ->
+          List.for_all
+            (fun q ->
+              (t.Scc.comp.(p) = t.Scc.comp.(q)) = (reach.(p).(q) && reach.(q).(p)))
+            (List.init states Fun.id))
+        (List.init states Fun.id))
 
 (* two states on a mutual cycle plus a self-loop: nontrivial covers both
    the size>1 and the singleton self-loop shape *)

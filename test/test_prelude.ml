@@ -233,6 +233,64 @@ let prop_csr_transpose =
       done;
       !ok)
 
+(* --- Scc --- *)
+
+let gen_graph_input =
+  QCheck2.Gen.(
+    bind
+      (pair (1 -- 12) (1 -- 3))
+      (fun (n, k) ->
+        let edge = triple (0 -- (n - 1)) (0 -- (k - 1)) (0 -- (n - 1)) in
+        map (fun ts -> (n, k, ts)) (list_size (0 -- 40) edge)))
+
+(* [closure t].(p).(q): q is reachable from p in zero or more steps *)
+let closure t =
+  let n = Csr.states t in
+  Array.init n (fun p ->
+      let seen = Array.make n false in
+      let rec go q =
+        if not seen.(q) then begin
+          seen.(q) <- true;
+          Csr.iter_row_all t q go
+        end
+      in
+      go p;
+      seen)
+
+let prop_scc_of_csr_eq_of_succ =
+  QCheck2.Test.make ~name:"scc: of_csr equals of_succ over iter_row_all"
+    ~count:500 gen_graph_input (fun (n, k, triples) ->
+      let t = Csr.of_lists ~states:n ~symbols:k (rows_of_triples ~states:n ~symbols:k triples) in
+      let a = Scc.of_csr t and b = Scc.of_succ ~states:n (Csr.iter_row_all t) in
+      a.comp = b.comp && a.count = b.count && a.size = b.size
+      && a.self_loop = b.self_loop && a.closed = b.closed)
+
+let prop_scc_search_roots =
+  QCheck2.Test.make ~name:"scc: search visits exactly the states reachable from its roots"
+    ~count:500
+    QCheck2.Gen.(pair gen_graph_input (list_size (0 -- 3) (0 -- 11)))
+    (fun ((n, k, triples), roots) ->
+      let roots = List.filter (fun q -> q < n) roots in
+      let t = Csr.of_lists ~states:n ~symbols:k (rows_of_triples ~states:n ~symbols:k triples) in
+      let g =
+        Scc.flat ~states:n ~stride:k ~offsets:(Csr.offsets t) ~targets:(Csr.targets t)
+      in
+      let completed = Array.make n (-1) and order = ref 0 in
+      let on_component stack lo hi =
+        for m = lo to hi - 1 do
+          completed.(stack.(m)) <- !order
+        done;
+        incr order
+      in
+      let comp, count = Scc.search ~roots ~on_component g in
+      let r = closure t in
+      count = !order
+      && List.for_all
+           (fun q ->
+             let reached = List.exists (fun p -> r.(p).(q)) roots in
+             (comp.(q) >= 0) = reached && completed.(q) = comp.(q))
+           (List.init n Fun.id))
+
 (* --- Vec --- *)
 
 let test_vec_basic () =
@@ -575,6 +633,8 @@ let qsuite =
       prop_csr_of_lists_eq_of_fn;
       prop_csr_model;
       prop_csr_transpose;
+      prop_scc_of_csr_eq_of_succ;
+      prop_scc_search_roots;
       prop_vec_model;
       prop_deque_model;
       prop_arena_reuse_bounds_footprint;
